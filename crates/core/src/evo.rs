@@ -255,37 +255,6 @@ fn check(seq: &[(Var, Tag)], edges: &[VarSet], pi: &[Var]) -> bool {
     }
 }
 
-/// Decide [`is_equivalent_ordering`] for a batch of candidate orderings
-/// across the [`ExecPolicy`](crate::exec::ExecPolicy)'s worker pool.
-///
-/// Membership tests against one shape are independent, so candidates stripe
-/// across scoped threads. Results come back in candidate order, identical to
-/// mapping [`is_equivalent_ordering`] sequentially. (Exhaustive width search
-/// itself — [`crate::width::faqw_exact`] — stays sequential: its per-ordering
-/// cost is dominated by the shared `ρ*` memo, which a stripe would lose.)
-pub fn are_equivalent_orderings(
-    shape: &QueryShape,
-    candidates: &[Vec<Var>],
-    policy: &crate::exec::ExecPolicy,
-) -> Vec<bool> {
-    let threads = policy.effective_threads();
-    if threads <= 1 || candidates.len() < 2 {
-        return candidates.iter().map(|pi| is_equivalent_ordering(shape, pi)).collect();
-    }
-    let stripe = candidates.len().div_ceil(threads);
-    let mut out = vec![false; candidates.len()];
-    std::thread::scope(|s| {
-        for (cands, results) in candidates.chunks(stripe).zip(out.chunks_mut(stripe)) {
-            s.spawn(move || {
-                for (pi, slot) in cands.iter().zip(results.iter_mut()) {
-                    *slot = is_equivalent_ordering(shape, pi);
-                }
-            });
-        }
-    });
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -473,23 +442,6 @@ mod tests {
                     assert_eq!(got.factor, reference, "accepted order {p:?} differs");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn batch_membership_matches_sequential() {
-        let shape = QueryShape {
-            seq: vec![(v(1), SUM), (v(2), MAX), (v(3), SUM)],
-            edges: vec![varset(&[1, 2]), varset(&[1, 3])],
-            mul_idempotent: false,
-            closed_ops: Default::default(),
-        };
-        let candidates = permutations(&[1, 2, 3]);
-        let expect: Vec<bool> =
-            candidates.iter().map(|p| is_equivalent_ordering(&shape, p)).collect();
-        for threads in [1usize, 2, 4] {
-            let policy = crate::exec::ExecPolicy::with_threads(threads);
-            assert_eq!(are_equivalent_orderings(&shape, &candidates, &policy), expect);
         }
     }
 

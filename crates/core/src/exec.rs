@@ -15,11 +15,17 @@
 //!    factor's cached index ([`faq_factor::FactorTrie::partition_root`]);
 //!    the listing kernel scans the column
 //!    ([`faq_factor::Factor::column_partition`]);
-//! 2. run the leapfrog join kernel per chunk on a `std::thread::scope`
-//!    worker pool ([`faq_join::multiway_join_range_rep`]), each worker
-//!    stream-folding its groups column-flat into its own
-//!    [`faq_factor::FactorBuilder`] — no per-row allocations — while walking
-//!    a range-restricted view of the same cached tries;
+//! 2. run the leapfrog join kernel per chunk
+//!    ([`faq_join::multiway_join_range_rep`]), each chunk stream-folding its
+//!    groups column-flat into its own [`faq_factor::FactorBuilder`] — no
+//!    per-row allocations — while walking a range-restricted view of the
+//!    same cached tries. The calling thread runs the first range itself and
+//!    spawns `std::thread::scope` workers for the others only. Besides
+//!    saving a spawn per step, this keeps the first chunk's allocations in
+//!    the caller's malloc arena: allocations made on fresh threads scatter
+//!    over glibc's pool of up to 8 × cores arenas, and a long-running
+//!    process's resident high-water mark then creeps up with the number of
+//!    queries it has served;
 //! 3. concatenate the per-chunk builders in range order (chunk key ranges
 //!    are disjoint and ascending, so the k-way merge is an append) into the
 //!    output factor's builder, growing the output's trie index *during* the
@@ -403,42 +409,48 @@ pub(crate) fn grouped_join<E: SemiringElem>(
         return Ok((out.finish(), stats));
     }
 
-    // Scoped worker pool: one worker per chunk (ranges.len() ≤ threads), each
-    // stream-folding into its own flat builder. `std::thread::scope` would
+    // One chunk per range (ranges.len() ≤ threads), each stream-folding into
+    // its own flat builder. The calling thread runs the first range itself
+    // and spawns scoped workers for the rest only. `std::thread::scope` would
     // swallow a worker's raised QueryAbort into an opaque scope panic, so
-    // each worker installs the parent's abort controls, catches its own
-    // abort and parks it in its slot for the parent to re-raise.
+    // each chunk — the caller's included — catches its own abort and parks
+    // it in its slot for the merge below to re-raise; workers first install
+    // the caller's abort controls.
+    let run_chunk = |range: (u32, u32)| {
+        fault::catch_abort(|| {
+            let mut out =
+                FactorBuilder::new(schema.clone()).expect("join-order variables are distinct");
+            let stats = grouped_join_range(
+                rep,
+                domains,
+                order,
+                &chunk_inputs,
+                range,
+                one,
+                group_arity,
+                mul,
+                fold,
+                is_zero,
+                &mut out,
+            );
+            (out, stats)
+        })
+    };
     let ctl = fault::current_ctl();
-    type WorkerSlot<E> = Option<Result<(FactorBuilder<E>, JoinStats), QueryAbort>>;
-    let mut slots: Vec<WorkerSlot<E>> = Vec::new();
+    type ChunkSlot<E> = Option<Result<(FactorBuilder<E>, JoinStats), QueryAbort>>;
+    let mut slots: Vec<ChunkSlot<E>> = Vec::new();
     slots.resize_with(ranges.len(), || None);
+    let (caller_slot, worker_slots) = slots.split_first_mut().expect("at least two ranges");
     std::thread::scope(|s| {
-        for (&range, slot) in ranges.iter().zip(slots.iter_mut()) {
-            let chunk_inputs = &chunk_inputs;
-            let schema = &schema;
+        for (&range, slot) in ranges[1..].iter().zip(worker_slots.iter_mut()) {
             let ctl = ctl.clone();
+            let run_chunk = &run_chunk;
             s.spawn(move || {
                 let _g = fault::install_ctl(ctl);
-                *slot = Some(fault::catch_abort(|| {
-                    let mut out = FactorBuilder::new(schema.clone())
-                        .expect("join-order variables are distinct");
-                    let stats = grouped_join_range(
-                        rep,
-                        domains,
-                        order,
-                        chunk_inputs,
-                        range,
-                        one,
-                        group_arity,
-                        mul,
-                        fold,
-                        is_zero,
-                        &mut out,
-                    );
-                    (out, stats)
-                }));
+                *slot = Some(run_chunk(range));
             });
         }
+        *caller_slot = Some(run_chunk(ranges[0]));
     });
 
     // Group keys begin with the chunked variable, so chunk outputs are
@@ -447,10 +459,10 @@ pub(crate) fn grouped_join<E: SemiringElem>(
     let mut stats = JoinStats::default();
     let mut out = out_builder();
     for slot in slots {
-        let (chunk, chunk_stats) = match slot.expect("worker completed") {
+        let (chunk, chunk_stats) = match slot.expect("chunk completed") {
             Ok(r) => r,
-            // Deterministic choice: the first (lowest-range) worker's abort
-            // wins, whatever order the workers actually failed in.
+            // Deterministic choice: the first (lowest-range) chunk's abort
+            // wins, whatever order the chunks actually failed in.
             Err(abort) => fault::raise(abort),
         };
         stats.matches += chunk_stats.matches;
@@ -555,6 +567,87 @@ mod tests {
             vec![f01, f12, f02],
         )
         .unwrap()
+    }
+
+    /// `Σ_{x1} A(x0,x1) · B(x0,x1)` whose x1-elimination join splits into
+    /// the ranges `[0,1)` and `[1,∞)` under two threads, with all the seek
+    /// work in one of them: at the expensive x0 value A and B interleave
+    /// (A even, B odd x1 values — one seek per element), at the cheap one
+    /// they part after two matches. A holds at least half its rows at x0 = 0
+    /// either way, so the root partition cuts exactly at 1.
+    fn skewed_seek_query(expensive_x0: u32) -> FaqQuery<CountDomain> {
+        let mut a: Vec<(Vec<u32>, u64)> = Vec::new();
+        let mut b: Vec<(Vec<u32>, u64)> = Vec::new();
+        let rows = |x0: u32| if x0 == 0 { 1000u32 } else { 600 };
+        for x0 in 0..2u32 {
+            if x0 == expensive_x0 {
+                a.extend((0..rows(x0)).map(|y| (vec![x0, 2 * y], 1)));
+                b.extend((0..rows(x0)).map(|y| (vec![x0, 2 * y + 1], 1)));
+                b.push((vec![x0, 0], 2));
+            } else {
+                a.extend((0..rows(x0)).map(|y| (vec![x0, y], 1)));
+                b.extend([(vec![x0, 0], 3), (vec![x0, 1], 1), (vec![x0, 2000], 1)]);
+            }
+        }
+        FaqQuery::new(
+            CountDomain,
+            Domains::new(vec![2, 2001]),
+            vec![v(0)],
+            vec![(v(1), VarAgg::Semiring(CountDomain::SUM))],
+            vec![
+                Factor::new(vec![v(0), v(1)], a).unwrap(),
+                Factor::new(vec![v(0), v(1)], b).unwrap(),
+            ],
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn aborts_in_caller_and_worker_chunks_surface_identically() {
+        // The leapfrog join polls the cancel token once per 1024 seeks of a
+        // chunk, so a pre-cancelled token aborts exactly the chunk that does
+        // ≥ 1024 seeks: the caller-run range [0,1) when x0 = 0 is the
+        // expensive value, the spawned worker's range [1,∞) when x0 = 1 is.
+        for (expensive_x0, chunk) in [(0u32, "caller"), (1, "worker")] {
+            let q = skewed_seek_query(expensive_x0);
+            let order = [v(0), v(1)];
+            let ranges = q.factors[0].trie().partition_root(2);
+            assert_eq!(ranges, vec![(0, 1), (1, u32::MAX)], "{chunk}: range split");
+            let inputs: Vec<JoinInput<'_, u64>> = q.factors.iter().map(JoinInput::value).collect();
+            let seeks: Vec<u64> = ranges
+                .iter()
+                .map(|&range| {
+                    let mut out = FactorBuilder::new(vec![v(0)]).unwrap();
+                    grouped_join_range(
+                        JoinRep::Trie,
+                        &q.domains,
+                        &order,
+                        &inputs,
+                        range,
+                        &1,
+                        1,
+                        |a, b| a * b,
+                        |a, b| a + b,
+                        |x| *x == 0,
+                        &mut out,
+                    )
+                    .seeks
+                })
+                .collect();
+            let expensive = expensive_x0 as usize;
+            assert!(seeks[expensive] >= 1024, "{chunk}: {seeks:?}");
+            assert!(seeks[1 - expensive] < 1024, "{chunk}: {seeks:?}");
+
+            let token = CancelToken::new();
+            token.cancel();
+            let policy = ExecPolicy::with_threads(2).min_chunk_rows(1);
+            let cancelled = insideout_par(&q, &policy.clone().cancel_token(token));
+            assert_eq!(cancelled.map(|o| o.factor), Err(FaqError::Cancelled), "{chunk}");
+            // Nothing is left behind: the same query evaluates exactly.
+            let out = insideout_par(&q, &policy).unwrap();
+            assert!(!out.factor.is_empty());
+            assert_eq!(out.factor, crate::naive::naive_eval(&q), "{chunk}");
+        }
     }
 
     #[test]

@@ -12,14 +12,19 @@
 //!
 //! This module closes that gap with a [`Planner`] that
 //!
-//! 1. enumerates candidate ϕ-equivalent orderings (the `LinEx(P)` machinery
-//!    of [`crate::evo`], the [`crate::width`] optimizers, and a data-driven
-//!    [`faq_hypergraph::ordering::best_ordering`] search re-scored against
-//!    the EVO membership test);
+//! 1. enumerates candidate orderings (the `LinEx(P)` machinery of
+//!    [`crate::evo`], the [`crate::width`] optimizers, and a data-driven
+//!    [`faq_hypergraph::ordering::best_ordering`] search);
 //! 2. scores every elimination step of every candidate with a cost model fed
 //!    by per-factor statistics ([`faq_factor::Factor::stats`]: row counts and
 //!    trie-level distinct counts) and the AGM bounds of the step's `U`-sets;
-//! 3. emits a [`QueryPlan`] fixing the ordering **and** per-step execution
+//! 3. screens candidates for ϕ-equivalence lazily, in ascending cost order:
+//!    the EVO membership test ([`crate::evo::is_equivalent_ordering`]) runs
+//!    until the cheapest equivalent candidate is found and then on its
+//!    finalist band only, so the hundreds of capped `LinEx(P)` extensions
+//!    that cannot win are never tested — the plan is the one an upfront
+//!    screen of every candidate would choose;
+//! 4. emits a [`QueryPlan`] fixing the ordering **and** per-step execution
 //!    choices — join representation ([`JoinRep`]), worker-thread count, and
 //!    chunk floor — which the engine consumes through
 //!    [`crate::exec::PolicySource`].
@@ -46,7 +51,7 @@ use faq_hypergraph::widths::agm_bound;
 use faq_hypergraph::{Hypergraph, Var, VarSet};
 use faq_join::JoinRep;
 use faq_semiring::AggDomain;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
 /// The execution choices the planner fixed for one elimination step.
@@ -179,79 +184,34 @@ impl Planner {
         let sizes: Vec<u64> = q.factors.iter().map(|f| f.len() as u64).collect();
         let stats: Vec<FactorStats> = q.factors.iter().map(|f| f.stats()).collect();
 
-        // ---- Candidate orderings. Every candidate must be ϕ-equivalent with
-        // the free variables first; LinEx extensions are equivalent by
-        // soundness (Theorems 6.8/6.23), the rest are membership-tested.
+        // ---- Score every candidate by cost, then screen lazily: membership
+        // tests (`evo::is_equivalent_ordering`) run in ascending cost order
+        // only until the cheapest equivalent candidate is found, and then on
+        // the rest of its finalist band — exactly the candidates that can
+        // win. The finalists and the width tie-break are those of testing
+        // every candidate upfront; only the screening work shrinks.
         let mut model = CostModel::new(&h, &sizes, q);
-        let mut candidates: Vec<Vec<Var>> = vec![q.ordering()];
-        let (extensions, exhausted) = crate::evo::linear_extensions(&shape, self.linex_cap);
-        candidates.extend(extensions);
-        // Costs computed ahead of the scoring loop (the data-driven
-        // candidate annotates its own `OrderingResult::cost`); the loop
-        // reuses them instead of re-walking the model.
-        let mut precomputed: HashMap<Vec<Var>, f64> = HashMap::new();
-        if !exhausted {
-            // The enumeration was truncated: add the width optimizers' picks
-            // and a data-driven hypergraph-ordering candidate (greedy/exact
-            // search under the AGM-weighted width), annotated with its
-            // modelled cost and screened against EVO below.
-            if let Ok(r) = crate::width::faqw_optimize(&shape, 1, self.exact_limit) {
-                candidates.push(r.order);
+        let candidates = self.candidates(q, &shape, &h, &sizes);
+        let costs: Vec<f64> =
+            candidates.iter().map(|sigma| model.ordering_cost(q, sigma)).collect();
+        let mut by_cost: Vec<usize> = (0..candidates.len()).collect();
+        by_cost.sort_by(|&a, &b| costs[a].total_cmp(&costs[b]));
+        let equivalent = |i: usize| crate::evo::is_equivalent_ordering(&shape, &candidates[i]);
+        let finalists: Vec<(Vec<Var>, f64)> = match by_cost.into_iter().find(|&i| equivalent(i)) {
+            Some(cheapest) => {
+                let min_cost = costs[cheapest];
+                (0..candidates.len())
+                    .filter(|&i| costs[i] <= min_cost + 1e-9 && equivalent(i))
+                    .map(|i| (candidates[i].clone(), costs[i]))
+                    .collect()
             }
-            let mut data_res = best_ordering(
-                &h,
-                |b| agm_bound(&h, b, &sizes).map(|a| a.log2()).unwrap_or(b.len() as f64),
-                self.exact_limit,
-            );
-            if q.check_ordering(&data_res.order).is_ok() {
-                let cost = model.ordering_cost(q, &data_res.order);
-                data_res = data_res.with_cost(cost);
+            None => {
+                let own = q.ordering(); // always valid: the query's own order
+                let cost = model.ordering_cost(q, &own);
+                vec![(own, cost)]
             }
-            if let Some(cost) = data_res.cost {
-                precomputed.insert(data_res.order.clone(), cost);
-            }
-            candidates.push(data_res.order);
-        }
-        candidates.retain(|sigma| {
-            q.check_ordering(sigma).is_ok() && crate::evo::is_equivalent_ordering(&shape, sigma)
-        });
-        let mut seen: std::collections::HashSet<Vec<Var>> = std::collections::HashSet::new();
-        candidates.retain(|sigma| seen.insert(sigma.clone()));
-        if candidates.is_empty() {
-            candidates.push(q.ordering()); // always valid: the query's own order
-        }
-
-        // ---- Score every candidate with the shared, memoized cost model;
-        // width (expensive: one ρ* LP per U-set) breaks ties only, so it is
-        // computed lazily for the cost finalists alone.
-        let scored: Vec<(Vec<Var>, f64)> = candidates
-            .into_iter()
-            .map(|sigma| {
-                let cost = precomputed
-                    .get(&sigma)
-                    .copied()
-                    .unwrap_or_else(|| model.ordering_cost(q, &sigma));
-                (sigma, cost)
-            })
-            .collect();
-        let min_cost = scored.iter().map(|&(_, c)| c).fold(f64::INFINITY, f64::min);
-        let mut best: Option<(Vec<Var>, f64, Option<f64>)> = None;
-        for (sigma, cost) in scored {
-            if cost > min_cost + 1e-9 {
-                continue; // not a finalist — skip the width LPs entirely
-            }
-            let width = crate::width::faqw_of_ordering(&shape, &sigma).ok();
-            let better = match &best {
-                None => true,
-                Some((_, _, bw)) => {
-                    width.unwrap_or(f64::INFINITY) < bw.unwrap_or(f64::INFINITY) - 1e-12
-                }
-            };
-            if better {
-                best = Some((sigma, cost, width));
-            }
-        }
-        let (order, est_cost, width) = best.expect("at least one candidate ordering");
+        };
+        let (order, est_cost, width) = narrowest(&shape, finalists);
 
         // ---- Fix per-step execution choices along the winner.
         let steps = model.step_plans(q, &order, &stats, self);
@@ -267,6 +227,40 @@ impl Planner {
             default_policy: ExecPolicy::sequential(),
             by_var,
         })
+    }
+
+    /// Candidate orderings for `q`, deduplicated, in tie-break order: the
+    /// query's own order, the `LinEx(P)` extensions (up to
+    /// [`Planner::linex_cap`]) and — when that enumeration was truncated —
+    /// the width optimizers' pick and a data-driven hypergraph ordering
+    /// (greedy/exact search under the AGM-weighted width). Only orderings
+    /// with the free variables first are kept; EVO membership is left to the
+    /// caller (LinEx extensions are equivalent by soundness, Theorems
+    /// 6.8/6.23, the rest must be tested).
+    fn candidates<D: AggDomain>(
+        &self,
+        q: &FaqQuery<D>,
+        shape: &crate::exprtree::QueryShape,
+        h: &Hypergraph,
+        sizes: &[u64],
+    ) -> Vec<Vec<Var>> {
+        let mut candidates: Vec<Vec<Var>> = vec![q.ordering()];
+        let (extensions, exhausted) = crate::evo::linear_extensions(shape, self.linex_cap);
+        candidates.extend(extensions);
+        if !exhausted {
+            if let Ok(r) = crate::width::faqw_optimize(shape, 1, self.exact_limit) {
+                candidates.push(r.order);
+            }
+            let data_res = best_ordering(
+                h,
+                |b| agm_bound(h, b, sizes).map(|a| a.log2()).unwrap_or(b.len() as f64),
+                self.exact_limit,
+            );
+            candidates.push(data_res.order);
+        }
+        let mut seen: HashSet<Vec<Var>> = HashSet::new();
+        candidates.retain(|sigma| q.check_ordering(sigma).is_ok() && seen.insert(sigma.clone()));
+        candidates
     }
 
     /// Plan `q` and bundle the plan with aligned, indexed inputs into a
@@ -297,6 +291,29 @@ impl Planner {
             cancel: None,
         }
     }
+}
+
+/// The cost finalist of least `faqw` — the first in candidate order among
+/// equal widths — with its cost and width. Width (one `ρ*` LP per `U`-set)
+/// breaks cost ties only, so it is computed for the finalists alone.
+fn narrowest(
+    shape: &crate::exprtree::QueryShape,
+    finalists: Vec<(Vec<Var>, f64)>,
+) -> (Vec<Var>, f64, Option<f64>) {
+    let mut best: Option<(Vec<Var>, f64, Option<f64>)> = None;
+    for (sigma, cost) in finalists {
+        let width = crate::width::faqw_of_ordering(shape, &sigma).ok();
+        let better = match &best {
+            None => true,
+            Some((_, _, bw)) => {
+                width.unwrap_or(f64::INFINITY) < bw.unwrap_or(f64::INFINITY) - 1e-12
+            }
+        };
+        if better {
+            best = Some((sigma, cost, width));
+        }
+    }
+    best.expect("the finalist band is never empty")
 }
 
 /// The data-driven step cost model: AGM bounds over the original edges,
@@ -825,6 +842,7 @@ mod tests {
     use faq_factor::Domains;
     use faq_hypergraph::v;
     use faq_semiring::{CountDomain, RealDomain};
+    use proptest::prelude::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn triangle_query(seed: u64, rows: usize) -> FaqQuery<CountDomain> {
@@ -848,6 +866,239 @@ mod tests {
             vec![mk(0, 1), mk(1, 2), mk(0, 2)],
         )
         .unwrap()
+    }
+
+    /// The eager reference the lazy screen must reproduce: membership-test
+    /// every candidate upfront, take the minimum cost among the equivalent
+    /// ones and break the cost tie by width.
+    fn eager_plan<D: AggDomain>(
+        planner: &Planner,
+        q: &FaqQuery<D>,
+    ) -> (Vec<Var>, f64, Option<f64>) {
+        let shape = q.shape();
+        let h = q.hypergraph();
+        let sizes: Vec<u64> = q.factors.iter().map(|f| f.len() as u64).collect();
+        let mut model = CostModel::new(&h, &sizes, q);
+        let mut candidates = planner.candidates(q, &shape, &h, &sizes);
+        candidates.retain(|sigma| crate::evo::is_equivalent_ordering(&shape, sigma));
+        if candidates.is_empty() {
+            candidates.push(q.ordering());
+        }
+        let scored: Vec<(Vec<Var>, f64)> = candidates
+            .into_iter()
+            .map(|sigma| {
+                let cost = model.ordering_cost(q, &sigma);
+                (sigma, cost)
+            })
+            .collect();
+        let min_cost = scored.iter().map(|&(_, c)| c).fold(f64::INFINITY, f64::min);
+        narrowest(&shape, scored.into_iter().filter(|&(_, c)| c <= min_cost + 1e-9).collect())
+    }
+
+    /// Lazy and eager screening agree under the default `LinEx(P)` cap and
+    /// under tiny caps, which truncate the enumeration and so admit the
+    /// data-driven candidates — the ones that can fail the membership test.
+    fn assert_lazy_matches_eager<D: AggDomain>(q: &FaqQuery<D>, what: &str) {
+        for linex_cap in [768, 3, 1] {
+            let planner = Planner { linex_cap, ..Planner::sequential() };
+            let plan = planner.plan(q).unwrap();
+            let (order, est_cost, width) = eager_plan(&planner, q);
+            assert_eq!(plan.order, order, "{what}, cap {linex_cap}: order");
+            assert_eq!(plan.est_cost.to_bits(), est_cost.to_bits(), "{what}: est_cost");
+            assert_eq!(plan.width.map(f64::to_bits), width.map(f64::to_bits), "{what}: width");
+        }
+    }
+
+    /// A factor over `vars` with up to `rows` random distinct tuples in
+    /// `[0, d)` and values drawn by `val`.
+    fn random_factor<E: Clone + PartialEq + std::fmt::Debug + Send + Sync>(
+        r: &mut StdRng,
+        vars: &[u32],
+        d: u32,
+        rows: usize,
+        mut val: impl FnMut(&mut StdRng) -> E,
+    ) -> Factor<E> {
+        let mut tuples = std::collections::BTreeMap::new();
+        for _ in 0..rows {
+            let key: Vec<u32> = vars.iter().map(|_| r.gen_range(0..d)).collect();
+            let value = val(r);
+            tuples.insert(key, value);
+        }
+        Factor::new(vars.iter().map(|&i| v(i)).collect(), tuples.into_iter().collect()).unwrap()
+    }
+
+    #[test]
+    fn lazy_screen_matches_eager_on_analytic_shapes() {
+        let mut r = StdRng::seed_from_u64(11);
+        let count = |r: &mut StdRng| r.gen_range(1..4u64);
+        // The triangle and path-4 natural joins: every variable free.
+        let tri: Vec<Factor<u64>> = [[0, 1], [1, 2], [0, 2]]
+            .iter()
+            .map(|e| random_factor(&mut r, e, 32, 200, count))
+            .collect();
+        let tri = FaqQuery::new(
+            CountDomain,
+            Domains::uniform(3, 32),
+            (0..3).map(v).collect(),
+            vec![],
+            tri,
+        )
+        .unwrap();
+        assert_lazy_matches_eager(&tri, "triangle");
+        let path: Vec<Factor<u64>> =
+            (0..4).map(|i| random_factor(&mut r, &[i, i + 1], 24, 120, count)).collect();
+        let path = FaqQuery::new(
+            CountDomain,
+            Domains::uniform(5, 24),
+            (0..5).map(v).collect(),
+            vec![],
+            path,
+        )
+        .unwrap();
+        assert_lazy_matches_eager(&path, "path4");
+        // The 12-variable chain PGM marginal of x0: 11! orderings, so the
+        // LinEx enumeration is truncated and the width/data-driven
+        // candidates join the pool.
+        let real = |r: &mut StdRng| r.gen_range(0.1..1.0f64);
+        let chain: Vec<Factor<f64>> =
+            (0..11).map(|i| random_factor(&mut r, &[i, i + 1], 6, 30, real)).collect();
+        let bound = (1..12).map(|i| (v(i), VarAgg::Semiring(RealDomain::SUM))).collect();
+        let pgm =
+            FaqQuery::new(RealDomain, Domains::uniform(12, 6), vec![v(0)], bound, chain).unwrap();
+        assert_lazy_matches_eager(&pgm, "pgm chain");
+        // Example 5.6: max/Σ aggregates around a product variable.
+        let mut ones = |vars: &[u32], rows| random_factor(&mut r, vars, 2, rows, |_| 1.0f64);
+        let factors =
+            vec![ones(&[1, 5], 3), ones(&[2, 5], 3), ones(&[1, 3, 4], 6), ones(&[2, 3, 6], 6)];
+        let ex56 = FaqQuery::new(
+            RealDomain,
+            Domains::uniform(7, 2),
+            vec![],
+            vec![
+                (v(1), VarAgg::Semiring(RealDomain::MAX)),
+                (v(2), VarAgg::Semiring(RealDomain::MAX)),
+                (v(3), VarAgg::Product),
+                (v(4), VarAgg::Semiring(RealDomain::SUM)),
+                (v(5), VarAgg::Semiring(RealDomain::MAX)),
+                (v(6), VarAgg::Semiring(RealDomain::MAX)),
+            ],
+            factors,
+        )
+        .unwrap();
+        assert_lazy_matches_eager(&ex56, "example 5.6");
+    }
+
+    #[test]
+    fn lazy_screen_matches_eager_on_evo_shapes() {
+        const SUM: VarAgg = VarAgg::Semiring(CountDomain::SUM);
+        const MAX: VarAgg = VarAgg::Semiring(CountDomain::MAX);
+        // The shapes of the `evo` membership tests: Example 6.13, the §6.1
+        // interleavings, the seven-variable LinEx ⊆ EVO poset and the
+        // consecutive product block.
+        let mut r = StdRng::seed_from_u64(12);
+        let mut check = |name: &str, bound: &[(u32, VarAgg)], edges: &[&[u32]]| {
+            let factors = edges
+                .iter()
+                .map(|e| random_factor(&mut r, e, 4, 12, |r| r.gen_range(1..4u64)))
+                .collect();
+            let bound = bound.iter().map(|&(i, agg)| (v(i), agg)).collect();
+            let q =
+                FaqQuery::new(CountDomain, Domains::uniform(8, 4), vec![], bound, factors).unwrap();
+            assert_lazy_matches_eager(&q, name);
+        };
+        check("6.13", &[(1, SUM), (2, MAX), (3, SUM)], &[&[1, 2], &[1, 3]]);
+        check(
+            "6.1",
+            &[(1, SUM), (2, SUM), (3, MAX), (4, MAX), (5, SUM)],
+            &[&[1, 5], &[2, 5], &[1, 3], &[2, 4]],
+        );
+        check(
+            "linex",
+            &[(1, SUM), (2, SUM), (3, MAX), (4, SUM), (5, SUM), (6, MAX), (7, MAX)],
+            &[&[1, 2], &[1, 3, 5], &[1, 4], &[2, 4, 6], &[2, 7], &[3, 7]],
+        );
+        check(
+            "product block",
+            &[(1, VarAgg::Product), (2, VarAgg::Product), (3, SUM)],
+            &[&[1, 2, 3]],
+        );
+    }
+
+    #[test]
+    fn lazy_screen_keeps_the_width_tie_break() {
+        // Σ over the path 0–1–2–3 with unit domains: every step estimates one
+        // row, so all 24 orderings tie on cost. The query's own order
+        // eliminates 2 first (U = {1,2,3}, width 2); the tie-break must move
+        // to a width-1 ordering, exactly as the eager screen does.
+        let mut r = StdRng::seed_from_u64(13);
+        let path: Vec<Factor<u64>> =
+            (0..3).map(|i| random_factor(&mut r, &[i, i + 1], 1, 1, |_| 1u64)).collect();
+        let bound =
+            [0, 3, 1, 2].iter().map(|&i| (v(i), VarAgg::Semiring(CountDomain::SUM))).collect();
+        let q = FaqQuery::new(CountDomain, Domains::uniform(4, 1), vec![], bound, path).unwrap();
+        assert_eq!(crate::width::faqw_of_ordering(&q.shape(), &q.ordering()).ok(), Some(2.0));
+        assert_eq!(Planner::sequential().plan(&q).unwrap().width, Some(1.0));
+        assert_lazy_matches_eager(&q, "unit-domain path");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn lazy_screen_matches_eager_on_random_queries(
+            n in 2usize..9,
+            free in 0usize..3,
+            aggs in proptest::collection::vec(0u32..3, 8),
+            edges in proptest::collection::vec(proptest::collection::vec(0u32..8, 1..4), 1..6),
+            rows in 1usize..16,
+            d in 1u32..4,
+            seed in 0u64..1_000_000,
+        ) {
+            // Variables 0..n: the first `free` are free, the rest carry Σ, max
+            // or a product aggregate; every edge keeps its in-range variables
+            // and a unary factor covers each variable no edge holds (so
+            // widths are defined and can break ties).
+            // Domain size 1 makes every step estimate one row, so whole
+            // candidate pools tie on cost and the width tie-break decides.
+            let mut r = StdRng::seed_from_u64(seed);
+            let free = free.min(n - 1);
+            let bound: Vec<(Var, VarAgg)> = (free..n)
+                .map(|i| {
+                    let agg = match aggs[i] {
+                        0 => VarAgg::Semiring(CountDomain::SUM),
+                        1 => VarAgg::Semiring(CountDomain::MAX),
+                        _ => VarAgg::Product,
+                    };
+                    (v(i as u32), agg)
+                })
+                .collect();
+            let mut schemas: Vec<Vec<u32>> = edges
+                .iter()
+                .map(|e| {
+                    let vars: std::collections::BTreeSet<u32> =
+                        e.iter().copied().filter(|&x| (x as usize) < n).collect();
+                    vars.into_iter().collect::<Vec<u32>>()
+                })
+                .filter(|vars| !vars.is_empty())
+                .collect();
+            for x in 0..n as u32 {
+                if !schemas.iter().any(|e| e.contains(&x)) {
+                    schemas.push(vec![x]);
+                }
+            }
+            let factors: Vec<Factor<u64>> = schemas
+                .iter()
+                .map(|vars| random_factor(&mut r, vars, d, rows, |r| r.gen_range(1..4u64)))
+                .collect();
+            let q = FaqQuery::new(
+                CountDomain,
+                Domains::uniform(n, d),
+                (0..free as u32).map(v).collect(),
+                bound,
+                factors,
+            )
+            .unwrap();
+            assert_lazy_matches_eager(&q, &format!("{:?}", q.shape()));
+        }
     }
 
     #[test]

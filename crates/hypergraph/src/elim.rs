@@ -161,7 +161,9 @@ impl EliminationSequence {
 ///
 /// This quantity is order-independent given the *set* `eliminated`, which is
 /// what makes the exact subset-DP ordering search (`ordering::best_ordering_exact`)
-/// correct. A property test cross-checks it against [`EliminationSequence`].
+/// correct. The DP itself evaluates it on vertex bitmasks; this set version is
+/// the reference its kernel is tested against (and the greedy heuristic's
+/// kernel). A property test cross-checks it against [`EliminationSequence`].
 pub fn fold_u_set(h: &Hypergraph, eliminated: &VarSet, v: Var) -> VarSet {
     debug_assert!(!eliminated.contains(&v));
     let mut u = VarSet::new();

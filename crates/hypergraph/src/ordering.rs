@@ -7,7 +7,8 @@
 //!
 //! * [`best_ordering_exact`] — exact subset dynamic programming over
 //!   eliminated vertex sets (feasible to ~16 vertices), using the
-//!   order-independent path characterization of `U_v` ([`crate::elim::fold_u_set`]);
+//!   order-independent path characterization of `U_v` ([`crate::elim::fold_u_set`]),
+//!   evaluated on vertex bitmasks;
 //! * [`min_fill_ordering`], [`min_degree_ordering`], [`greedy_g_ordering`] —
 //!   standard heuristics;
 //! * [`best_ordering`] — exact when small, otherwise best-of-heuristics. This
@@ -27,20 +28,6 @@ pub struct OrderingResult {
     pub width: f64,
     /// Whether the search was exact (subset DP) or heuristic.
     pub exact: bool,
-    /// Optional data-driven cost annotation: the estimated total work of
-    /// running an elimination along `order` on a concrete database (e.g. a
-    /// sum of per-step AGM bounds). `None` when the search was purely
-    /// width-driven; set by cost-based planners via
-    /// [`OrderingResult::with_cost`].
-    pub cost: Option<f64>,
-}
-
-impl OrderingResult {
-    /// This result annotated with a data-driven cost estimate.
-    pub fn with_cost(mut self, cost: f64) -> OrderingResult {
-        self.cost = Some(cost);
-        self
-    }
 }
 
 /// Memoized width function over vertex sets.
@@ -73,16 +60,30 @@ impl<'a> MemoG<'a> {
 /// `g` must be monotone (paper Lemma 4.12 requires it); all standard width
 /// functions (`|B|−1`, `ρ`, `ρ*`) are. Panics if `h` has more than 20
 /// vertices — use [`best_ordering`] for graceful fallback.
-pub fn best_ordering_exact<F: FnMut(&VarSet) -> f64>(h: &Hypergraph, g: F) -> OrderingResult {
+///
+/// The DP runs on `u32` vertex masks throughout: edges are masks, each `U_v`
+/// comes from a bitmask search (the mask twin of [`fold_u_set`]), and `g` is
+/// memoized by mask, so a `VarSet` is built only the first time a `U`-set is
+/// seen.
+pub fn best_ordering_exact<F: FnMut(&VarSet) -> f64>(h: &Hypergraph, mut g: F) -> OrderingResult {
     let verts: Vec<Var> = h.vertices().iter().copied().collect();
     let n = verts.len();
     assert!(n <= 20, "exact ordering search limited to 20 vertices, got {n}");
     if n == 0 {
-        return OrderingResult { order: Vec::new(), width: 0.0, exact: true, cost: None };
+        return OrderingResult { order: Vec::new(), width: 0.0, exact: true };
     }
-    let mut memo = MemoG::new(g);
+    let edges = edge_masks(h, &verts);
+    let mut memo: HashMap<u32, f64> = HashMap::new();
+    let mut g_of = |u: u32| -> f64 {
+        if u == 0 {
+            return 0.0;
+        }
+        *memo
+            .entry(u)
+            .or_insert_with(|| g(&(0..n).filter(|&i| u >> i & 1 == 1).map(|i| verts[i]).collect()))
+    };
 
-    let full: u32 = if n == 32 { u32::MAX } else { (1u32 << n) - 1 };
+    let full: u32 = (1u32 << n) - 1;
     // best[mask] = minimal achievable max-width having eliminated exactly `mask`.
     let mut best: Vec<f64> = vec![f64::INFINITY; (full as usize) + 1];
     let mut choice: Vec<u8> = vec![u8::MAX; (full as usize) + 1];
@@ -95,13 +96,11 @@ pub fn best_ordering_exact<F: FnMut(&VarSet) -> f64>(h: &Hypergraph, g: F) -> Or
         if !cur.is_finite() {
             continue;
         }
-        let eliminated: VarSet = (0..n).filter(|&i| mask >> i & 1 == 1).map(|i| verts[i]).collect();
-        for (i, &vert) in verts.iter().enumerate() {
+        for i in 0..n {
             if mask >> i & 1 == 1 {
                 continue;
             }
-            let u = fold_u_set(h, &eliminated, vert);
-            let w = cur.max(memo.eval(&u));
+            let w = cur.max(g_of(fold_u_mask(&edges, mask, i)));
             let nxt = (mask | (1 << i)) as usize;
             if w < best[nxt] - 1e-12 {
                 best[nxt] = w;
@@ -120,7 +119,32 @@ pub fn best_ordering_exact<F: FnMut(&VarSet) -> f64>(h: &Hypergraph, g: F) -> Or
         sigma.push(verts[i]);
         mask &= !(1u32 << i);
     }
-    OrderingResult { order: sigma, width: best[full as usize], exact: true, cost: None }
+    OrderingResult { order: sigma, width: best[full as usize], exact: true }
+}
+
+/// The edges of `h` as vertex masks: bit `i` stands for `verts[i]`.
+fn edge_masks(h: &Hypergraph, verts: &[Var]) -> Vec<u32> {
+    h.edges()
+        .iter()
+        .map(|e| e.iter().fold(0u32, |m, x| m | 1 << verts.binary_search(x).expect("edge vertex")))
+        .collect()
+}
+
+/// [`fold_u_set`] on masks: the `U`-set of vertex bit `v` after the vertices
+/// of `eliminated` are gone. Breadth-first over edges, expanding only through
+/// eliminated vertices; every vertex of a reached edge that is still present
+/// (`v` included, if any edge holds it) belongs to `U_v`.
+fn fold_u_mask(edges: &[u32], eliminated: u32, v: usize) -> u32 {
+    let mut reached = 1u32 << v;
+    let mut frontier = reached;
+    let mut covered = 0u32;
+    while frontier != 0 {
+        let next = edges.iter().filter(|&&e| e & frontier != 0).fold(0u32, |m, &e| m | e);
+        covered |= next;
+        frontier = next & eliminated & !reached;
+        reached |= frontier;
+    }
+    covered & !eliminated
 }
 
 /// Greedy ordering: repeatedly eliminate the vertex minimizing `g(U_v)` given
@@ -147,7 +171,7 @@ pub fn greedy_g_ordering<F: FnMut(&VarSet) -> f64>(h: &Hypergraph, g: F) -> Orde
         rev.push(v);
     }
     rev.reverse();
-    OrderingResult { order: rev, width, exact: false, cost: None }
+    OrderingResult { order: rev, width, exact: false }
 }
 
 /// The min-degree heuristic on the Gaifman graph (`g(U) = |U|`).
@@ -211,7 +235,7 @@ pub fn min_fill_ordering(h: &Hypergraph) -> OrderingResult {
     }
     rev.reverse();
     let order = rev;
-    OrderingResult { order, width: f64::NAN, exact: false, cost: None }
+    OrderingResult { order, width: f64::NAN, exact: false }
 }
 
 /// Find a good ordering for width function `g`: exact subset DP when the
@@ -224,7 +248,7 @@ pub fn best_ordering<F: FnMut(&VarSet) -> f64>(
 ) -> OrderingResult {
     let n = h.num_vertices();
     if n == 0 {
-        return OrderingResult { order: Vec::new(), width: 0.0, exact: true, cost: None };
+        return OrderingResult { order: Vec::new(), width: 0.0, exact: true };
     }
     if n <= exact_limit.min(20) {
         return best_ordering_exact(h, g);
@@ -355,6 +379,95 @@ mod tests {
             let fw = fhtw(&h, 16).width;
             // ρ*(B) ≤ |B| for any B, so fhtw ≤ tw + 1.
             assert!(fw <= tw + 1.0 + 1e-6, "fhtw {fw} > tw+1 {}", tw + 1.0);
+        }
+    }
+
+    /// A random hypergraph over `n` vertices drawn from a non-contiguous id
+    /// pool, some of them left isolated.
+    fn random_sparse_ids(rng: &mut rand::rngs::StdRng, n: usize) -> Hypergraph {
+        use rand::{seq::SliceRandom, Rng};
+        let mut pool: Vec<u32> = vec![3, 17, 0, 5, 9, 31, 12, 1, 24, 8, 19, 27];
+        pool.shuffle(rng);
+        let ids: Vec<Var> = pool[..n].iter().map(|&i| Var(i)).collect();
+        let mut h = Hypergraph::new();
+        for &x in &ids {
+            h.add_vertex(x);
+        }
+        for _ in 0..rng.gen_range(0..=n + 2) {
+            let k = rng.gen_range(1..=n.min(4));
+            let mut vs = ids.clone();
+            vs.shuffle(rng);
+            h.add_edge(vs[..k].iter().copied());
+        }
+        h
+    }
+
+    #[test]
+    fn fold_u_mask_matches_fold_u_set() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut isolated_seen = false;
+        for _ in 0..300 {
+            let n = rng.gen_range(1..=12usize);
+            let h = random_sparse_ids(&mut rng, n);
+            let verts: Vec<Var> = h.vertices().iter().copied().collect();
+            let edges = edge_masks(&h, &verts);
+            let to_set = |m: u32| -> VarSet {
+                (0..n).filter(|&i| m >> i & 1 == 1).map(|i| verts[i]).collect()
+            };
+            for _ in 0..8 {
+                let eliminated: u32 = rng.gen_range(0..1u32 << n);
+                for v in (0..n).filter(|&i| eliminated >> i & 1 == 0) {
+                    let expect = fold_u_set(&h, &to_set(eliminated), verts[v]);
+                    isolated_seen |= expect.is_empty();
+                    assert_eq!(
+                        to_set(fold_u_mask(&edges, eliminated, v)),
+                        expect,
+                        "vertex {:?} with {:?} eliminated in {h:?}",
+                        verts[v],
+                        to_set(eliminated)
+                    );
+                }
+            }
+        }
+        assert!(isolated_seen, "the generator must exercise isolated vertices");
+    }
+
+    #[test]
+    fn exact_width_equals_brute_force_minimum() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        fn permutations(items: &mut Vec<Var>, k: usize, out: &mut Vec<Vec<Var>>) {
+            if k == items.len() {
+                out.push(items.clone());
+            }
+            for i in k..items.len() {
+                items.swap(k, i);
+                permutations(items, k + 1, out);
+                items.swap(k, i);
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(23);
+        for _ in 0..40 {
+            let n = rng.gen_range(1..=6usize);
+            let h = random_sparse_ids(&mut rng, n);
+            let mut orders = Vec::new();
+            permutations(&mut h.vertices().iter().copied().collect(), 0, &mut orders);
+            let tw = |b: &VarSet| b.len() as f64 - 1.0;
+            let rho = |b: &VarSet| crate::widths::rho_star(&h, b);
+            for (name, g) in [("|B|-1", &tw as &dyn Fn(&VarSet) -> f64), ("rho*", &rho)] {
+                let brute = orders
+                    .iter()
+                    .map(|o| EliminationSequence::new(&h, o).induced_width(g))
+                    .fold(f64::INFINITY, f64::min);
+                let exact = best_ordering_exact(&h, g);
+                assert!(
+                    (exact.width - brute).abs() < 1e-9,
+                    "{name}: exact {} vs brute force {brute} on {h:?}",
+                    exact.width
+                );
+                let witnessed = EliminationSequence::new(&h, &exact.order).induced_width(g);
+                assert!((witnessed - exact.width).abs() < 1e-9, "{name}: order does not witness");
+            }
         }
     }
 
